@@ -264,6 +264,19 @@ echo "== reuse-profile determinism check =="
 cmp /tmp/ci_prof_seq.out /tmp/ci_prof_par.out
 echo "profile tables byte-identical"
 
+echo "== table-tail fan-out determinism check =="
+# extension-prefetch and profile-geometries run their prefetching and
+# reuse-measuring simulations outside the memo table, fanned across
+# the prewarm's worker count and gathered in input order: both tables
+# must be byte-identical at one and two workers and under the step
+# engine.
+./target/release/repro --jobs 1 extension-prefetch profile-geometries > /tmp/ci_tail_seq.out 2>/dev/null
+./target/release/repro --jobs 2 extension-prefetch profile-geometries > /tmp/ci_tail_par.out 2>/dev/null
+cmp /tmp/ci_tail_seq.out /tmp/ci_tail_par.out
+DL_SIM_ENGINE=step ./target/release/repro --jobs 2 extension-prefetch profile-geometries > /tmp/ci_tail_step.out 2>/dev/null
+cmp /tmp/ci_tail_seq.out /tmp/ci_tail_step.out
+echo "table tail byte-identical across jobs and engines"
+
 echo "== manifest + trace combination determinism check =="
 # --manifest and --trace-out together must not perturb table output,
 # and the manifest's stage list must be schedule-independent: with
@@ -348,5 +361,15 @@ cmp /tmp/ci_mem_seq.out /tmp/ci_nofast_mem.out
 DL_PROBE_FAST=off DL_SIM_ENGINE=step ./target/release/repro --smoke --jobs 4 extension-memmatrix > /tmp/ci_nofast_mem_step.out 2>/dev/null
 cmp /tmp/ci_mem_seq.out /tmp/ci_nofast_mem_step.out
 echo "probe layer byte-identical on/off, both engines"
+
+echo "== perfbench =="
+# The workload-mix benchmark (perfbench/README.md) is a package of its
+# own: run its tests, then a short static-workload run whose output
+# checks must pass.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload static --seconds 2 --trace 0 > /tmp/ci_perfbench.out
+tail -n 1 /tmp/ci_perfbench.out | grep -q '"correct": true'
+echo "perfbench static smoke OK"
 
 echo "CI green"

@@ -24,7 +24,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -248,6 +248,9 @@ pub struct Pipeline {
     /// When set, every simulation runs with the per-load-site miss
     /// observatory enabled. `None` (the default) keeps the fast path.
     observe: Mutex<Option<ObserveConfig>>,
+    /// Worker count of the last prewarm (1 before any): table assembly
+    /// fans its own unmemoized side simulations across this many.
+    jobs: AtomicUsize,
 }
 
 impl Default for Pipeline {
@@ -262,6 +265,7 @@ impl Default for Pipeline {
             block_stats: Mutex::default(),
             trace: Mutex::new(None),
             observe: Mutex::new(None),
+            jobs: AtomicUsize::new(1),
         }
     }
 }
@@ -338,6 +342,19 @@ impl Pipeline {
     /// Panics if the observe lock is poisoned.
     pub fn set_observe(&self, config: Option<ObserveConfig>) {
         *self.observe.lock().expect("observe lock") = config;
+    }
+
+    /// Records the worker count the memo table was prewarmed with
+    /// (clamped to at least 1); [`crate::schedule::prewarm`] calls it.
+    pub(crate) fn set_jobs(&self, jobs: usize) {
+        self.jobs.store(jobs.max(1), Ordering::Relaxed);
+    }
+
+    /// The worker count tables may fan their side simulations across:
+    /// the last prewarm's, or 1 if nothing was prewarmed.
+    #[must_use]
+    pub(crate) fn jobs(&self) -> usize {
+        self.jobs.load(Ordering::Relaxed)
     }
 
     fn shard_of(&self, key: &Key) -> &Shard {

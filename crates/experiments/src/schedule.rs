@@ -9,6 +9,12 @@
 //! count or completion order. In-flight deduplication inside
 //! [`Pipeline::run`] guarantees that overlapping specs (most tables
 //! share configurations) still simulate exactly once.
+//!
+//! The few simulations a table runs outside the memo table (prefetch
+//! and reuse-measurement variants of a memoized run) fan out on the
+//! prewarm's worker count through the same worker pool, which returns
+//! results in input order, so assembly consumes them exactly as a
+//! sequential loop would.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,9 +44,9 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    fn key(&self) -> (String, OptLevel, u8, CacheConfig, MemoryConfig) {
+    fn key(&self) -> (&'static str, OptLevel, u8, CacheConfig, MemoryConfig) {
         (
-            self.bench.name.to_owned(),
+            self.bench.name,
             self.opt,
             self.input_set,
             self.cache,
@@ -156,11 +162,31 @@ pub fn table_specs(table: &str) -> Vec<RunSpec> {
     }
 }
 
+/// A multiply-rotate hasher for the schedule's own memo keys: they come
+/// from the table registry, never from outside the program, so
+/// SipHash's collision resistance buys nothing, and it was half the
+/// cost of [`union_specs`].
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The deduplicated union of configurations needed by `tables`, in
 /// first-seen order.
 #[must_use]
 pub fn union_specs<'a>(tables: impl IntoIterator<Item = &'a str>) -> Vec<RunSpec> {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen: std::collections::HashSet<_, std::hash::BuildHasherDefault<KeyHasher>> =
+        std::collections::HashSet::default();
     let mut union = Vec::new();
     for table in tables {
         for spec in table_specs(table) {
@@ -221,10 +247,11 @@ impl PrewarmReport {
 /// Runs every spec through the pipeline across `jobs` worker threads,
 /// populating the memo table. Returns the number of specs processed.
 ///
-/// Work is claimed from a shared atomic index, so long-running
+/// Workers claim specs from a shared atomic index, so long-running
 /// simulations do not stall the queue behind them. With `jobs <= 1`
 /// the specs run on the calling thread in order — exactly the
-/// sequential behaviour.
+/// sequential behaviour. The worker count is recorded on the pipeline,
+/// where table assembly finds it for its own side simulations.
 ///
 /// # Panics
 ///
@@ -243,71 +270,96 @@ pub fn prewarm(pipeline: &Pipeline, specs: &[RunSpec], jobs: usize) -> usize {
 /// Propagates a panic from any worker, exactly like [`prewarm`].
 pub fn prewarm_with_stats(pipeline: &Pipeline, specs: &[RunSpec], jobs: usize) -> PrewarmReport {
     let wall = Instant::now();
-    if jobs <= 1 || specs.len() <= 1 {
+    pipeline.set_jobs(jobs);
+    let busy = par_map(specs, jobs, |worker, spec| {
         let start = Instant::now();
-        for spec in specs {
-            let _ = pipeline.run_mem(
-                &spec.bench,
-                spec.opt,
-                spec.input_set,
-                spec.cache,
-                spec.memory,
-            );
-        }
-        return PrewarmReport {
-            processed: specs.len(),
-            workers: vec![WorkerStat {
-                worker: 0,
-                specs: specs.len() as u64,
-                busy_secs: start.elapsed().as_secs_f64(),
-            }],
-            wall_secs: wall.elapsed().as_secs_f64(),
-        };
+        let _ = pipeline.run_mem(
+            &spec.bench,
+            spec.opt,
+            spec.input_set,
+            spec.cache,
+            spec.memory,
+        );
+        (worker, start.elapsed().as_secs_f64())
+    });
+    let mut workers: Vec<WorkerStat> = (0..threads(specs.len(), jobs))
+        .map(|worker| WorkerStat {
+            worker,
+            ..WorkerStat::default()
+        })
+        .collect();
+    for (worker, secs) in busy {
+        workers[worker].specs += 1;
+        workers[worker].busy_secs += secs;
+    }
+    PrewarmReport {
+        processed: specs.len(),
+        workers,
+        wall_secs: wall.elapsed().as_secs_f64(),
+    }
+}
+
+/// Worker threads [`par_map`] runs `items` on: one (the calling
+/// thread) for at most one item or job, else `jobs` capped at `items`.
+fn threads(items: usize, jobs: usize) -> usize {
+    if jobs <= 1 || items <= 1 {
+        1
+    } else {
+        jobs.min(items)
+    }
+}
+
+/// Applies `f` to every item on [`threads`] scoped worker threads and
+/// returns the results in input order. Workers claim items from a
+/// shared atomic index, so a long item does not stall the queue behind
+/// it; `f` also receives the index of the worker that runs it. A
+/// single worker is the calling thread, taking the items in order.
+///
+/// # Panics
+///
+/// Propagates a panic from any call of `f`.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads(items.len(), jobs);
+    if workers == 1 {
+        return items.iter().map(|item| f(0, item)).collect();
     }
     let next = AtomicUsize::new(0);
-    let workers = jobs.min(specs.len());
-    let stats = std::thread::scope(|scope| {
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
-                let next = &next;
+                let (next, f) = (&next, &f);
                 scope.spawn(move || {
-                    let mut stat = WorkerStat {
-                        worker,
-                        ..WorkerStat::default()
-                    };
+                    let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = specs.get(i) else {
-                            break stat;
+                        let Some(item) = items.get(i) else {
+                            break done;
                         };
-                        let start = Instant::now();
-                        let _ = pipeline.run_mem(
-                            &spec.bench,
-                            spec.opt,
-                            spec.input_set,
-                            spec.cache,
-                            spec.memory,
-                        );
-                        stat.specs += 1;
-                        stat.busy_secs += start.elapsed().as_secs_f64();
+                        done.push((i, f(worker, item)));
                     }
                 })
             })
             .collect();
-        let mut stats = Vec::with_capacity(handles.len());
         for h in handles {
             match h.join() {
-                Ok(stat) => stats.push(stat),
+                Ok(done) => {
+                    for (i, r) in done {
+                        slots[i] = Some(r);
+                    }
+                }
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        stats
     });
-    PrewarmReport {
-        processed: specs.len(),
-        workers: stats,
-        wall_secs: wall.elapsed().as_secs_f64(),
-    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item claimed exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -384,6 +436,44 @@ mod tests {
         let seq = prewarm_with_stats(&Pipeline::new(), &specs, 1);
         assert_eq!(seq.workers.len(), 1);
         assert_eq!(seq.workers[0].specs, specs.len() as u64);
+    }
+
+    #[test]
+    fn par_map_returns_results_in_input_order() {
+        use std::sync::{Condvar, Mutex};
+        let items: Vec<u64> = (0..37).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * x).collect();
+        assert_eq!(par_map(&items, 1, |_, &x| x * x), want);
+        assert!(par_map(&[] as &[u64], 4, |_, &x| x).is_empty());
+        for jobs in [2, 8] {
+            // Item 0 finishes only after another worker has finished
+            // item 1, so results arrive out of input order.
+            let one_done = (Mutex::new(false), Condvar::new());
+            let got = par_map(&items, jobs, |_, &x| {
+                let (done, wake) = &one_done;
+                if x == 0 {
+                    let mut done = done.lock().expect("test lock");
+                    while !*done {
+                        done = wake.wait(done).expect("test lock");
+                    }
+                } else if x == 1 {
+                    *done.lock().expect("test lock") = true;
+                    wake.notify_all();
+                }
+                x * x
+            });
+            assert_eq!(got, want, "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn prewarm_records_its_worker_count() {
+        let pipeline = Pipeline::new();
+        assert_eq!(pipeline.jobs(), 1);
+        prewarm(&pipeline, &[], 3);
+        assert_eq!(pipeline.jobs(), 3);
+        prewarm(&pipeline, &[], 0);
+        assert_eq!(pipeline.jobs(), 1);
     }
 
     /// Shrinks a benchmark's inputs so tests stay fast.

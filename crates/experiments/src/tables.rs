@@ -22,6 +22,7 @@ use dl_workloads::Benchmark;
 use crate::metrics::{ideal_set, pct, pi, profiling_set, random_control, rho, xi};
 use crate::pipeline::{BenchRun, Pipeline};
 use crate::report::Table;
+use crate::schedule::par_map;
 
 /// Fraction of executed instructions the hot-block profile covers
 /// (the paper's "90% of the total compute cycles").
@@ -871,7 +872,8 @@ pub fn ablation_delta_tuning(p: &Pipeline) -> Table {
 /// Extension: the paper's motivating application. Attach a next-line
 /// prefetcher to different site-selection policies and measure the
 /// miss reduction each achieves against the overhead (prefetches
-/// issued) it pays.
+/// issued) it pays. The 12 prefetching runs sit outside the memo table
+/// and fan out across the prewarm's workers.
 #[must_use]
 pub fn extension_prefetch(p: &Pipeline) -> Table {
     use dl_sim::{run as simulate, PrefetchConfig, RunConfig};
@@ -903,32 +905,45 @@ pub fn extension_prefetch(p: &Pipeline) -> Table {
             removed: 0,
         })
         .collect();
-    for name in names {
-        let bench = dl_workloads::by_name(name).expect("known benchmark");
-        let base = p.run(&bench, OptLevel::O0, 1, CacheConfig::paper_baseline());
-        let policies: [(usize, Vec<usize>); 3] = [
-            (0, h.predict(base.ctx())),
-            (1, profiling_set(base.program(), &base.result, HOT_FRACTION)),
-            (2, base.load_indices()),
-        ];
-        for (slot, sites) in policies {
-            let config = RunConfig {
-                cache: CacheConfig::paper_baseline(),
-                input: bench.input1.clone(),
-                prefetch: Some(PrefetchConfig::next_line(sites.clone())),
-                ..RunConfig::default()
-            };
-            let result = simulate(base.program(), &config).expect("benchmark runs");
-            let before = base.result.load_misses_total;
-            let after = result.load_misses_total;
-            let removed = before.saturating_sub(after);
-            accs[slot].pis.push(pi(sites.len(), base.lambda()));
-            accs[slot]
-                .reductions
-                .push(removed as f64 / before.max(1) as f64);
-            accs[slot].issued += result.prefetches_issued;
-            accs[slot].removed += removed;
-        }
+    let bases: Vec<(Benchmark, Arc<BenchRun>)> = names
+        .into_iter()
+        .map(|name| {
+            let bench = dl_workloads::by_name(name).expect("known benchmark");
+            let base = p.run(&bench, OptLevel::O0, 1, CacheConfig::paper_baseline());
+            (bench, base)
+        })
+        .collect();
+    let runs: Vec<(usize, usize)> = (0..bases.len())
+        .flat_map(|b| (0..3).map(move |slot| (b, slot)))
+        .collect();
+    let outcomes = par_map(&runs, p.jobs(), |_, &(b, slot)| {
+        let (bench, base) = &bases[b];
+        let sites = match slot {
+            0 => h.predict(base.ctx()),
+            1 => profiling_set(base.program(), &base.result, HOT_FRACTION),
+            _ => base.load_indices(),
+        };
+        let n_sites = sites.len();
+        let config = RunConfig {
+            cache: CacheConfig::paper_baseline(),
+            input: bench.input1.clone(),
+            prefetch: Some(PrefetchConfig::next_line(sites)),
+            ..RunConfig::default()
+        };
+        let result = simulate(base.program(), &config).expect("benchmark runs");
+        (n_sites, result)
+    });
+    for (&(b, slot), (n_sites, result)) in runs.iter().zip(outcomes) {
+        let base = &bases[b].1;
+        let before = base.result.load_misses_total;
+        let after = result.load_misses_total;
+        let removed = before.saturating_sub(after);
+        accs[slot].pis.push(pi(n_sites, base.lambda()));
+        accs[slot]
+            .reductions
+            .push(removed as f64 / before.max(1) as f64);
+        accs[slot].issued += result.prefetches_issued;
+        accs[slot].removed += removed;
     }
     for (slot, label) in [(0, "heuristic"), (1, "hot blocks"), (2, "all loads")] {
         let a = &accs[slot];
@@ -1095,7 +1110,9 @@ pub fn extension_profile(p: &Pipeline) -> Table {
 /// histograms and the measured stack distances are then priced
 /// against every geometry of the 8–64 KiB × 2/4/8-way sweep with no
 /// re-analysis and no re-simulation, next to the true set-associative
-/// miss ratio of a real simulation at that geometry.
+/// miss ratio of a real simulation at that geometry. The four
+/// measuring runs sit outside the memo table and fan out across the
+/// prewarm's workers.
 #[must_use]
 pub fn profile_geometries(p: &Pipeline) -> Table {
     use dl_sim::{run_full as simulate_full, RunConfig};
@@ -1117,27 +1134,24 @@ pub fn profile_geometries(p: &Pipeline) -> Table {
         profiles: dl_analysis::ReuseProfiles,
         measured: dl_sim::ReuseMeasurement,
     }
-    let data: Vec<(String, BenchData)> = names
-        .iter()
-        .map(|name| {
-            let bench = dl_workloads::by_name(name).expect("known benchmark");
-            let run = p.run(&bench, OptLevel::O0, 1, CacheConfig::paper_baseline());
-            let config = RunConfig {
-                cache: CacheConfig::paper_baseline(),
-                input: bench.input1.clone(),
-                reuse_profile: true,
-                ..RunConfig::default()
-            };
-            let out = simulate_full(run.program(), &config).expect("benchmark runs");
-            (
-                (*name).to_owned(),
-                BenchData {
-                    profiles: run.ctx().reuse_profiles().clone(),
-                    measured: out.reuse.expect("reuse measurement collected"),
-                },
-            )
-        })
-        .collect();
+    let data: Vec<(String, BenchData)> = par_map(&names, p.jobs(), |_, name| {
+        let bench = dl_workloads::by_name(name).expect("known benchmark");
+        let run = p.run(&bench, OptLevel::O0, 1, CacheConfig::paper_baseline());
+        let config = RunConfig {
+            cache: CacheConfig::paper_baseline(),
+            input: bench.input1.clone(),
+            reuse_profile: true,
+            ..RunConfig::default()
+        };
+        let out = simulate_full(run.program(), &config).expect("benchmark runs");
+        (
+            (*name).to_owned(),
+            BenchData {
+                profiles: run.ctx().reuse_profiles().clone(),
+                measured: out.reuse.expect("reuse measurement collected"),
+            },
+        )
+    });
     for kb in [8u32, 16, 64] {
         for assoc in [2u32, 4, 8] {
             let cap_blocks = u64::from(kb) * 1024 / 32;

@@ -325,6 +325,12 @@ pub struct Cache {
     // mirrors `profile.is_some()` so the hot path tests one bool.
     profiling: bool,
     profile: Option<Box<ProfileState>>,
+    // Opt-in prefetch fill reason, one bit per way: bit `w % 64` of
+    // prefetched[set * pf_words + w / 64] is set while way `w` holds a
+    // line a prefetch filled and no demand access has touched since.
+    // Empty (pf_words == 0) unless `track_prefetch` was called.
+    prefetched: Vec<u64>,
+    pf_words: usize,
 }
 
 impl Cache {
@@ -350,6 +356,8 @@ impl Cache {
             repl: Repl::Lru,
             profiling: false,
             profile: None,
+            prefetched: Vec::new(),
+            pf_words: 0,
         }
     }
 
@@ -384,6 +392,15 @@ impl Cache {
     pub fn enable_profiling(&mut self) {
         self.profile = Some(Box::new(ProfileState::new(self.cfg)));
         self.profiling = true;
+    }
+
+    /// Keeps a prefetch fill reason per way from now on, for
+    /// [`Cache::access_reasoned`]. The reason lives in the tag store,
+    /// so it leaves with its line: an eviction or invalidation drops it
+    /// and the next fill of the way writes a fresh one.
+    pub(crate) fn track_prefetch(&mut self) {
+        self.pf_words = self.cfg.assoc().div_ceil(64) as usize;
+        self.prefetched = vec![0; self.cfg.sets() as usize * self.pf_words];
     }
 
     /// The class of the most recent profiled miss, or `None` if
@@ -455,6 +472,14 @@ impl Cache {
     /// miss path, so [`Cache::access`] pays nothing for it.
     #[inline]
     pub(crate) fn access_with_victim(&mut self, addr: u32) -> (bool, Option<u64>) {
+        let (hit, _, evicted) = self.access_way(addr);
+        (hit, evicted)
+    }
+
+    /// [`Cache::access_with_victim`] plus the way that now holds the
+    /// block — `None` on the MRU fast path, which never looks it up.
+    #[inline]
+    fn access_way(&mut self, addr: u32) -> (bool, Option<usize>, Option<u64>) {
         let block = u64::from(addr >> self.set_shift);
         let set = (block as u32) & self.set_mask;
         let tag = block >> self.tag_shift;
@@ -465,15 +490,74 @@ impl Cache {
             if self.profiling {
                 self.profile_access(block, set, true);
             }
-            return (true, None);
+            return (true, None, None);
         }
         let assoc = self.cfg.assoc as usize;
-        let (hit, evicted) = self.access_slow(set as usize * assoc, assoc, set, tag);
+        let (hit, way, evicted) = self.access_slow(set as usize * assoc, assoc, set, tag);
         self.mru[set as usize] = block;
         if self.profiling {
             self.profile_access(block, set, hit);
         }
-        (hit, evicted)
+        (hit, Some(way), evicted)
+    }
+
+    /// One access that also keeps the per-way prefetch fill reason
+    /// (see [`Cache::track_prefetch`]; without it this is
+    /// [`Cache::access_with_victim`]). A `prefetch` fill sets the
+    /// filled way's bit and a demand fill clears it; a demand hit
+    /// consumes the bit and reports it as `hidden` — the line is there
+    /// only because a prefetch brought it in. A prefetch hit leaves the
+    /// bit alone. Returns `(hit, hidden, victim)`.
+    #[inline]
+    pub(crate) fn access_reasoned(
+        &mut self,
+        addr: u32,
+        prefetch: bool,
+    ) -> (bool, bool, Option<u64>) {
+        let (hit, way, evicted) = self.access_way(addr);
+        if self.pf_words == 0 || (hit && prefetch) {
+            return (hit, false, evicted);
+        }
+        let block = u64::from(addr >> self.set_shift);
+        let set = ((block as u32) & self.set_mask) as usize;
+        if !hit {
+            let way = way.expect("a miss fills a way");
+            self.set_reason(set, way, prefetch);
+            return (false, false, evicted);
+        }
+        let first = set * self.pf_words;
+        if self.prefetched[first..first + self.pf_words]
+            .iter()
+            .all(|&w| w == 0)
+        {
+            return (true, false, None);
+        }
+        let way = way.unwrap_or_else(|| {
+            let assoc = self.cfg.assoc as usize;
+            let tag = block >> self.tag_shift;
+            (0..assoc)
+                .find(|&w| self.tags[set * assoc + w] == tag)
+                .expect("the MRU block is resident")
+        });
+        (true, self.set_reason(set, way, false), None)
+    }
+
+    /// Sets the prefetch reason of `way` in `set` to `on`, returning
+    /// its previous value. No-op (returning `false`) when the cache
+    /// does not track reasons.
+    fn set_reason(&mut self, set: usize, way: usize, on: bool) -> bool {
+        if self.pf_words == 0 {
+            return false;
+        }
+        let word = &mut self.prefetched[set * self.pf_words + way / 64];
+        let bit = 1u64 << (way % 64);
+        let was = *word & bit != 0;
+        if on {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+        was
     }
 
     /// Profiling bookkeeping for one access: per-set histograms, the
@@ -516,14 +600,15 @@ impl Cache {
     }
 
     /// Non-MRU hit or miss: walk the set and update the recency state,
-    /// reporting the evicted block (if any valid line was displaced).
+    /// reporting the way that now holds the block and the evicted block
+    /// (if any valid line was displaced).
     fn access_slow(
         &mut self,
         base: usize,
         assoc: usize,
         set: u32,
         tag: u64,
-    ) -> (bool, Option<u64>) {
+    ) -> (bool, usize, Option<u64>) {
         if !matches!(self.repl, Repl::Lru) {
             return self.access_slow_policy(base, assoc, set, tag);
         }
@@ -539,7 +624,7 @@ impl Cache {
         assoc: usize,
         set: u32,
         tag: u64,
-    ) -> (bool, Option<u64>) {
+    ) -> (bool, usize, Option<u64>) {
         let order = &mut self.order[base..base + assoc];
         let hit_pos = order[1..]
             .iter()
@@ -550,7 +635,7 @@ impl Cache {
             order.copy_within(0..p, 1);
             order[0] = w;
             self.hits += 1;
-            return (true, None);
+            return (true, usize::from(w), None);
         }
         // Miss: evict the LRU way (the tail of the order). Untouched
         // (invalid) ways sit at the tail, so cold fills consume them
@@ -561,7 +646,11 @@ impl Cache {
         let old = self.tags[base + victim as usize];
         self.tags[base + victim as usize] = tag;
         self.misses += 1;
-        (false, evicted_block(old, set, self.tag_shift))
+        (
+            false,
+            usize::from(victim),
+            evicted_block(old, set, self.tag_shift),
+        )
     }
 
     /// The PLRU/random set walk: hit detection scans the tags directly
@@ -575,12 +664,12 @@ impl Cache {
         assoc: usize,
         set: u32,
         tag: u64,
-    ) -> (bool, Option<u64>) {
+    ) -> (bool, usize, Option<u64>) {
         for way in 0..assoc {
             if self.tags[base + way] == tag {
                 self.repl.touch(set as usize, assoc, way);
                 self.hits += 1;
-                return (true, None);
+                return (true, way, None);
             }
         }
         self.misses += 1;
@@ -591,7 +680,7 @@ impl Cache {
         let old = self.tags[base + way];
         self.tags[base + way] = tag;
         self.repl.touch(set as usize, assoc, way);
-        (false, evicted_block(old, set, self.tag_shift))
+        (false, way, evicted_block(old, set, self.tag_shift))
     }
 
     // Policy-specialized non-MRU entry points for the block engine's
@@ -612,7 +701,7 @@ impl Cache {
         let tag = block >> self.tag_shift;
         debug_assert_ne!(self.mru[set as usize], block, "caller probes MRU first");
         let assoc = self.cfg.assoc as usize;
-        let (hit, _) = self.access_slow_lru(set as usize * assoc, assoc, set, tag);
+        let (hit, _, _) = self.access_slow_lru(set as usize * assoc, assoc, set, tag);
         self.mru[set as usize] = block;
         hit
     }
@@ -701,6 +790,7 @@ impl Cache {
             return false;
         };
         self.tags[base + way] = INVALID_TAG;
+        self.set_reason(set as usize, way, false);
         if self.mru[set as usize] == block {
             self.mru[set as usize] = INVALID_TAG;
         }
@@ -765,6 +855,16 @@ impl Cache {
             .flatten()
     }
 
+    /// True when `addr`'s line is resident. Reads no recency state.
+    #[cfg(test)]
+    pub(crate) fn holds(&self, addr: u32) -> bool {
+        let block = u64::from(addr >> self.set_shift);
+        let set = ((block as u32) & self.set_mask) as usize;
+        let tag = block >> self.tag_shift;
+        let assoc = self.cfg.assoc as usize;
+        self.tags[set * assoc..(set + 1) * assoc].contains(&tag)
+    }
+
     /// Total hits so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
@@ -781,6 +881,7 @@ impl Cache {
     pub fn reset(&mut self) {
         self.tags.fill(INVALID_TAG);
         self.mru.fill(INVALID_TAG);
+        self.prefetched.fill(0);
         let assoc = self.cfg.assoc as usize;
         for (i, slot) in self.order.iter_mut().enumerate() {
             *slot = (i % assoc) as u16;

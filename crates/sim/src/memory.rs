@@ -28,7 +28,6 @@
 //! every policy and hierarchy; only the stride prefetcher — which must
 //! observe every demand load to train — forces the slow path.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -446,7 +445,9 @@ pub(crate) struct MemCounters {
 
 /// The configured memory hierarchy owned by one
 /// [`crate::cpu::Machine`]: L1 (always), optional L2, optional stride
-/// prefetcher, plus the prefetch fill-reason set and level counters.
+/// prefetcher, plus level counters. With either prefetcher the L1
+/// keeps a prefetch fill reason per way (see
+/// [`Cache::access_reasoned`]).
 ///
 /// Both engines funnel every non-MRU demand access through
 /// [`MemorySystem::demand_access`], so hierarchy state advances in an
@@ -458,9 +459,6 @@ pub(crate) struct MemorySystem {
     l2: Option<Box<Cache>>,
     inclusion: Inclusion,
     stride: Option<Box<StrideTable>>,
-    /// Blocks resident in L1 whose most recent fill was a prefetch.
-    /// Demand misses overwrite the reason; demand hits consume it.
-    prefetched: HashSet<u64>,
     /// Plain single-L1 fast configuration: no L2, no prefetcher of
     /// either kind. Gates the one branch the demand path adds.
     simple: bool,
@@ -501,14 +499,17 @@ impl MemorySystem {
             .prefetch
             .filter(|pf| pf.degree > 0)
             .map(|pf| Box::new(StrideTable::new(pf.degree)));
-        let simple = l2.is_none() && stride.is_none() && !legacy_prefetch;
+        let prefetching = stride.is_some() || legacy_prefetch;
+        let mut l1 = Cache::with_policy(l1, mem.policy, seed ^ L1_SEED_SALT);
+        if prefetching {
+            l1.track_prefetch();
+        }
         MemorySystem {
-            l1: Cache::with_policy(l1, mem.policy, seed ^ L1_SEED_SALT),
+            l1,
             l2,
             inclusion: mem.l2.map(|c| c.inclusion).unwrap_or_default(),
             stride,
-            prefetched: HashSet::new(),
-            simple,
+            simple: mem.l2.is_none() && !prefetching,
             policy: mem.policy,
             counters: MemCounters::default(),
         }
@@ -609,21 +610,17 @@ impl MemorySystem {
         self.l1.access_nonmru_random(addr)
     }
 
-    /// Demand access under a non-trivial configuration: consult the
-    /// prefetch fill-reason set on hits, walk the L2 on misses.
+    /// Demand access under a non-trivial configuration: consume the
+    /// L1 way's prefetch reason on hits, walk the L2 on misses.
     pub(crate) fn demand_access_full(&mut self, addr: u32) -> Access {
-        let block = u64::from(addr >> self.l1.hot_params());
-        let (hit, victim) = self.l1.access_with_victim(addr);
+        let (hit, hidden, victim) = self.l1.access_reasoned(addr, false);
         if hit {
-            let hidden = self.prefetched.remove(&block);
             if hidden {
                 self.counters.prefetch_useful += 1;
             }
             return Access { hit: true, hidden };
         }
-        // The L1 fill just performed is demand-reasoned: clear any
-        // stale prefetch tag left from an earlier eviction.
-        self.prefetched.remove(&block);
+        let block = u64::from(addr >> self.l1.hot_params());
         self.walk_l2(block, victim);
         Access {
             hit: false,
@@ -650,7 +647,6 @@ impl MemorySystem {
                 }
                 if let Some(v) = evicted {
                     self.l1.invalidate_block(v);
-                    self.prefetched.remove(&v);
                 }
             }
             Inclusion::Exclusive => {
@@ -673,13 +669,12 @@ impl MemorySystem {
     /// any other fill).
     pub(crate) fn prefetch_fill(&mut self, addr: u32) {
         self.counters.prefetches_issued += 1;
-        let block = u64::from(addr >> self.l1.hot_params());
-        let (hit, victim) = self.l1.access_with_victim(addr);
+        let (hit, _, victim) = self.l1.access_reasoned(addr, true);
         if hit {
             return;
         }
         self.counters.prefetch_fills += 1;
-        self.prefetched.insert(block);
+        let block = u64::from(addr >> self.l1.hot_params());
         self.walk_l2(block, victim);
     }
 
@@ -904,6 +899,106 @@ mod tests {
         assert_eq!(ms.counters.prefetch_useful, hidden);
         assert!(ms.counters.prefetch_fills >= hidden);
         assert!(ms.counters.prefetches_issued >= ms.counters.prefetch_fills);
+    }
+
+    /// The `k`-th line mapping to `addr`'s L1 set (`k = 0` is `addr`).
+    fn set_line(ms: &MemorySystem, addr: u32, k: u32) -> u32 {
+        let l1 = ms.l1().config();
+        addr + k * l1.sets() * l1.block_bytes()
+    }
+
+    /// Demand-fills other lines of `addr`'s L1 set until `addr` is
+    /// evicted.
+    fn evict_from_l1(ms: &mut MemorySystem, addr: u32) {
+        for k in 1..=64 {
+            if !ms.l1().holds(addr) {
+                return;
+            }
+            assert!(!ms.demand_access(set_line(ms, addr, k)).hit);
+        }
+        panic!("64 conflicting fills never evicted {addr:#x}");
+    }
+
+    /// Demand-touches, twice each, every resident line of `addr`'s L1
+    /// set that this test could have filled, returning how many of the
+    /// hits were hidden by a prefetch.
+    fn hidden_in_set(ms: &mut MemorySystem, addr: u32) -> u64 {
+        assert!(ms.l1().holds(addr), "{addr:#x} must be resident");
+        let mut hidden = 0;
+        for k in 0..=64 {
+            let line = set_line(ms, addr, k);
+            if ms.l1().holds(line) {
+                for _ in 0..2 {
+                    let acc = ms.demand_access(line);
+                    assert!(acc.hit);
+                    hidden += u64::from(acc.hidden);
+                }
+            }
+        }
+        hidden
+    }
+
+    #[test]
+    fn prefetch_reason_lives_and_dies_with_its_line() {
+        let a = 0x2000_0000u32;
+        for policy in [Policy::Lru, Policy::Plru, Policy::Random] {
+            for prefetch_refill in [false, true] {
+                let refill = |ms: &mut MemorySystem, addr: u32| {
+                    if prefetch_refill {
+                        ms.prefetch_fill(addr);
+                    } else {
+                        assert!(!ms.demand_access(addr).hit);
+                    }
+                };
+                let want = u64::from(prefetch_refill);
+                // Prefetched, evicted unused, refilled: only a
+                // prefetch refill makes a demand hit hidden, and the
+                // line that took the evicted one's way inherits nothing.
+                let mem = MemoryConfig {
+                    policy,
+                    ..MemoryConfig::default()
+                };
+                let mut ms = MemorySystem::new(CacheConfig::paper_baseline(), &mem, 7, true);
+                ms.prefetch_fill(a);
+                evict_from_l1(&mut ms, a);
+                refill(&mut ms, a);
+                assert_eq!(hidden_in_set(&mut ms, a), want, "{policy} evicted");
+                assert_eq!(ms.counters.prefetch_useful, want, "{policy} evicted");
+                // A direct-mapped 2 KB inclusive L2 shares the L1's 64
+                // sets: a second line in `a`'s set evicts `a` from the
+                // L2, which back-invalidates it from the L1.
+                let mem = MemoryConfig {
+                    policy,
+                    l2: Some(L2Config {
+                        cache: CacheConfig::new(2048, 1, 32).unwrap(),
+                        inclusion: Inclusion::Inclusive,
+                    }),
+                    prefetch: None,
+                };
+                let mut ms = MemorySystem::new(CacheConfig::paper_baseline(), &mem, 7, true);
+                ms.prefetch_fill(a);
+                assert!(!ms.demand_access(a + 2048).hit);
+                assert!(!ms.l1().holds(a), "{policy}: back-invalidated");
+                refill(&mut ms, a);
+                assert_eq!(hidden_in_set(&mut ms, a), want, "{policy} back-invalidated");
+                assert_eq!(
+                    ms.counters.prefetch_useful, want,
+                    "{policy} back-invalidated"
+                );
+            }
+            // Two prefetched lines in one set: each demand hit off the
+            // MRU way consumes its own line's reason exactly once.
+            let mem = MemoryConfig {
+                policy,
+                ..MemoryConfig::default()
+            };
+            let mut ms = MemorySystem::new(CacheConfig::paper_baseline(), &mem, 7, true);
+            ms.prefetch_fill(a);
+            ms.prefetch_fill(set_line(&ms, a, 1));
+            assert_eq!(hidden_in_set(&mut ms, a), 2);
+            assert_eq!(ms.counters.prefetch_useful, 2, "{policy} two lines");
+            assert_eq!(ms.counters.prefetch_fills, 2);
+        }
     }
 
     #[test]
